@@ -65,17 +65,22 @@ std::size_t McamArray::add_row(std::span<const std::uint16_t> levels) {
     throw std::length_error{"McamArray::add_row: bank is full (max_rows = " +
                             std::to_string(config_.max_rows) + ")"};
   }
-  if (word_length_ == 0) {
-    word_length_ = levels.size();
-  } else if (levels.size() != word_length_) {
+  if (word_length_ != 0 && levels.size() != word_length_) {
     throw std::invalid_argument{"McamArray::add_row: word length mismatch"};
   }
-  std::vector<CellState> row;
-  row.reserve(levels.size());
+  // Validate every level before the Rng draws anything: a rejected row
+  // must not advance the noise/fault stream or the fault count, or a
+  // snapshot replay of the stored rows would program later rows
+  // differently.
   for (std::uint16_t level : levels) {
     if (level >= config_.level_map.num_states()) {
       throw std::out_of_range{"McamArray::add_row: level exceeds map"};
     }
+  }
+  word_length_ = levels.size();
+  std::vector<CellState> row;
+  row.reserve(levels.size());
+  for (std::uint16_t level : levels) {
     CellState cell;
     cell.level = level;
     if (config_.vth_sigma > 0.0) {
@@ -229,6 +234,17 @@ std::vector<double> McamArray::search_conductances(
     totals.push_back(g_total);
   }
   return totals;
+}
+
+double McamArray::row_conductance(std::size_t i, std::span<const std::uint16_t> query) const {
+  if (i >= rows_.size()) throw std::out_of_range{"McamArray::row_conductance: bad row"};
+  if (query.size() != word_length_) {
+    throw std::invalid_argument{"McamArray::row_conductance: query length mismatch"};
+  }
+  const auto& row = rows_[i];
+  double g_total = 0.0;
+  for (std::size_t c = 0; c < row.size(); ++c) g_total += cell_conductance(row[c], query[c]);
+  return g_total;
 }
 
 SearchOutcome McamArray::nearest(std::span<const std::uint16_t> query) const {

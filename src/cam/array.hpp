@@ -118,7 +118,8 @@ class McamArray {
   explicit McamArray(const McamArrayConfig& config);
 
   /// Writes one row; `levels` must have one state per cell and every state
-  /// must be < 2^bits. Returns the row index. Throws std::length_error
+  /// must be < 2^bits (std::out_of_range otherwise, thrown before any noise
+  /// or fault is sampled). Returns the row index. Throws std::length_error
   /// when the array is at `config.max_rows` capacity.
   std::size_t add_row(std::span<const std::uint16_t> levels);
 
@@ -151,6 +152,12 @@ class McamArray {
   /// Total conductance of every row for `query` [S].
   [[nodiscard]] std::vector<double> search_conductances(
       std::span<const std::uint16_t> query) const;
+
+  /// Total conductance of row `i` alone for `query` [S]: the same
+  /// sequential per-cell sum as entry `i` of search_conductances, bit for
+  /// bit. Throws std::out_of_range for a bad index.
+  [[nodiscard]] double row_conductance(std::size_t i,
+                                       std::span<const std::uint16_t> query) const;
 
   /// Single-step nearest-neighbor search (smallest distance = smallest
   /// total conductance = slowest matchline).

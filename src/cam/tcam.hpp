@@ -43,7 +43,10 @@ class TcamArray {
   explicit TcamArray(const TcamArrayConfig& config);
 
   /// Writes one ternary row; returns its index. Throws std::length_error
-  /// when the array is at `config.max_rows` capacity.
+  /// when the array is at `config.max_rows` capacity and
+  /// std::invalid_argument for a word of the wrong length or a symbol
+  /// above kDontCare; a rejected row leaves the array (and its programming
+  /// Rng) untouched.
   std::size_t add_row(std::span<const Trit> word);
 
   /// Writes one binary row (no don't-cares).
@@ -68,10 +71,12 @@ class TcamArray {
 
   /// True when `config.max_rows` is set and every physical slot is used.
   [[nodiscard]] bool full() const noexcept {
-    return config_.max_rows > 0 && rows_.size() >= config_.max_rows;
+    return config_.max_rows > 0 && num_rows() >= config_.max_rows;
   }
 
-  /// Matchline conductance of every row for a binary `query` [S].
+  /// Matchline conductance of every row for a binary `query` [S] (any
+  /// non-zero byte searches for 1): the ternary overload without
+  /// don't-care columns.
   [[nodiscard]] std::vector<double> search_conductances(
       std::span<const std::uint8_t> query) const;
 
@@ -81,8 +86,20 @@ class TcamArray {
   /// contributes exactly zero to every matchline. On a query without
   /// don't-cares this is numerically identical to the binary overload -
   /// the masked columns simply drop out of the Hamming sum.
+  ///
+  /// Every row's score is the sequential sum of its cell conductances in
+  /// column order, so any two sweeps of the same row agree bit for bit.
+  /// While no cell carries a Vth offset (vth_sigma = drift_sigma = 0 and
+  /// no apply_drift), each cell costs one lookup in a per-query column
+  /// table of the nominal cell conductances instead of two exp() calls.
   [[nodiscard]] std::vector<double> search_conductances(
       std::span<const Trit> query) const;
+
+  /// Matchline conductance of the listed `rows` only, in the order given
+  /// [S] - bit-identical to the same entries of the full sweep. Throws
+  /// std::out_of_range for a row index >= num_rows().
+  [[nodiscard]] std::vector<double> search_conductances(
+      std::span<const Trit> query, std::span<const std::size_t> rows) const;
 
   /// Per-row ternary match mask (1 = row compatible with `query`): a row
   /// matches when every position where *both* the query and the stored
@@ -131,7 +148,7 @@ class TcamArray {
   std::size_t apply_drift(double sigma, std::uint64_t seed);
 
   /// Number of programmed rows.
-  [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
+  [[nodiscard]] std::size_t num_rows() const noexcept { return valid_.size(); }
   /// Cells per row.
   [[nodiscard]] std::size_t word_length() const noexcept { return word_length_; }
   /// Configuration in use.
@@ -140,18 +157,24 @@ class TcamArray {
   [[nodiscard]] const fefet::LevelMap& level_map() const noexcept { return map_; }
 
  private:
-  struct CellState {
-    Trit trit = Trit::kZero;
-    float dvth_left = 0.0f;
-    float dvth_right = 0.0f;
-  };
+  /// Conductance of one cell storing trit `stored` (0, 1 or 2) searched
+  /// with input bit `input`, given its FeFETs' Vth offsets.
+  [[nodiscard]] double cell_conductance(std::size_t stored, std::uint8_t input,
+                                        float dvth_left, float dvth_right) const;
 
-  [[nodiscard]] double cell_conductance(const CellState& cell, std::uint8_t input) const;
+  /// Writes the conductance of `out.size()` rows into `out`: row `rows[i]`
+  /// into out[i], or row i when `rows` is null. Query length is checked
+  /// by the callers.
+  void sweep(std::span<const Trit> query, const std::size_t* rows,
+             std::span<double> out) const;
 
   TcamArrayConfig config_;
   fefet::LevelMap map_;
-  std::vector<std::vector<CellState>> rows_;
-  std::vector<std::uint8_t> valid_;
+  double nominal_[3][2] = {};  ///< Offset-free cell conductance [stored trit][input bit].
+  std::vector<Trit> trits_;    ///< Row-major trit plane: num_rows() x word_length().
+  std::vector<float> offsets_;  ///< Row-major (left, right) Vth offsets, two per
+                                ///< cell; empty until some cell gets an offset.
+  std::vector<std::uint8_t> valid_;  ///< One validity latch per programmed row.
   std::size_t valid_rows_ = 0;
   std::size_t word_length_ = 0;
   Rng rng_;

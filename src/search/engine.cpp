@@ -32,6 +32,48 @@ std::vector<std::size_t> rank_rows(const std::vector<double>& conductances,
                               sense_clock_period, std::max<std::size_t>(k, 1));
 }
 
+/// The deduplicated, live ids among `ids`, ascending. Unknown and
+/// tombstoned ids drop out, as in the default NnIndex::query_subset.
+std::vector<std::size_t> live_candidates(std::span<const std::size_t> ids,
+                                         std::span<const std::uint8_t> valid) {
+  std::vector<std::size_t> live;
+  live.reserve(ids.size());
+  for (std::size_t id : ids) {
+    if (id < valid.size() && valid[id]) live.push_back(id);
+  }
+  std::sort(live.begin(), live.end());
+  live.erase(std::unique(live.begin(), live.end()), live.end());
+  return live;
+}
+
+/// The CAM engines' candidate-only rerank: ranks the matchline
+/// conductances of the ascending `rows` alone. Sense times are per
+/// matchline and ties break to the lower position (= the lower id), so
+/// the order is the full ranking filtered to `rows`. Energy charges the
+/// candidate fraction of a full search exactly as the default
+/// NnIndex::query_subset does.
+QueryResult rank_candidates(std::span<const std::size_t> rows,
+                            std::span<const double> conductances,
+                            std::span<const int> labels, cam::SensingMode sensing,
+                            const circuit::MatchlineParams& matchline_params,
+                            std::size_t word_length, double sense_clock_period,
+                            std::size_t k, double full_energy_j, std::size_t num_valid) {
+  const std::vector<std::size_t> order =
+      cam::rank_by_sensing(conductances, sensing, matchline_params, word_length,
+                           sense_clock_period, std::max<std::size_t>(k, 1));
+  QueryResult result;
+  result.neighbors.reserve(order.size());
+  for (std::size_t p : order) {
+    result.neighbors.push_back(Neighbor{rows[p], labels[rows[p]], conductances[p]});
+  }
+  result.label = majority_label(result.neighbors);
+  result.telemetry.candidates = rows.size();
+  result.telemetry.sense_events = result.neighbors.size();
+  result.telemetry.energy_j =
+      full_energy_j * (static_cast<double>(rows.size()) / static_cast<double>(num_valid));
+  return result;
+}
+
 }  // namespace
 
 // --- SoftwareNnEngine ------------------------------------------------------
@@ -186,6 +228,29 @@ QueryResult TcamLshEngine::query_one(std::span<const float> query, std::size_t k
   return result;
 }
 
+QueryResult TcamLshEngine::query_subset(std::span<const float> query,
+                                        std::span<const std::size_t> ids,
+                                        std::size_t k) const {
+  if (!tcam_ || tcam_->num_valid() == 0) {
+    throw std::logic_error{name() + ": query_subset before add"};
+  }
+  if (ids.empty()) throw std::invalid_argument{name() + ": query_subset with no candidates"};
+  const std::vector<std::size_t> rows = live_candidates(ids, tcam_->valid_mask());
+  if (rows.empty()) {
+    throw std::invalid_argument{name() + ": query_subset with no live candidates"};
+  }
+  const std::vector<std::uint8_t> bits = lsh_->encode(scaler_->transform(query)).unpack();
+  std::vector<cam::Trit> word;
+  word.reserve(bits.size());
+  for (std::uint8_t b : bits) word.push_back(b ? cam::Trit::kOne : cam::Trit::kZero);
+  const std::vector<double> conductances = tcam_->search_conductances(word, rows);
+  return rank_candidates(rows, conductances, labels_, config_.sensing, config_.matchline,
+                         tcam_->word_length(), config_.sense_clock_period, k,
+                         energy::ArrayEnergyModel{energy::ArrayParams{}}.tcam_search_energy(
+                             tcam_->num_valid(), tcam_->word_length()),
+                         tcam_->num_valid());
+}
+
 std::string TcamLshEngine::name() const {
   return "TCAM+LSH (" + std::to_string(signature_bits_) + "b)";
 }
@@ -255,6 +320,28 @@ QueryResult McamNnEngine::query_one(std::span<const float> query, std::size_t k)
       energy::ArrayEnergyModel{energy::ArrayParams{}}.mcam_search_energy(
           array_->num_valid(), array_->word_length(), config_.level_map);
   return result;
+}
+
+QueryResult McamNnEngine::query_subset(std::span<const float> query,
+                                       std::span<const std::size_t> ids,
+                                       std::size_t k) const {
+  if (!array_ || array_->num_valid() == 0) {
+    throw std::logic_error{name() + ": query_subset before add"};
+  }
+  if (ids.empty()) throw std::invalid_argument{name() + ": query_subset with no candidates"};
+  const std::vector<std::size_t> rows = live_candidates(ids, array_->valid_mask());
+  if (rows.empty()) {
+    throw std::invalid_argument{name() + ": query_subset with no live candidates"};
+  }
+  const std::vector<std::uint16_t> levels = quantizer_->quantize(query);
+  std::vector<double> conductances;
+  conductances.reserve(rows.size());
+  for (std::size_t r : rows) conductances.push_back(array_->row_conductance(r, levels));
+  return rank_candidates(rows, conductances, labels_, config_.sensing, config_.matchline,
+                         array_->word_length(), config_.sense_clock_period, k,
+                         energy::ArrayEnergyModel{energy::ArrayParams{}}.mcam_search_energy(
+                             array_->num_valid(), array_->word_length(), config_.level_map),
+                         array_->num_valid());
 }
 
 std::string McamNnEngine::name() const {

@@ -95,6 +95,12 @@ class TcamLshEngine final : public NnIndex {
   }
   [[nodiscard]] QueryResult query_one(std::span<const float> query,
                                       std::size_t k) const override;
+  /// Sweeps only the (deduplicated, live) candidate rows; result and
+  /// telemetry are bit-identical to the default filtered-full-ranking
+  /// implementation.
+  [[nodiscard]] QueryResult query_subset(std::span<const float> query,
+                                         std::span<const std::size_t> ids,
+                                         std::size_t k) const override;
   [[nodiscard]] std::string name() const override;
   void save_state(serve::io::Writer& out) const override;
   void load_state(serve::io::Reader& in) override;
@@ -141,6 +147,12 @@ class McamNnEngine final : public NnIndex {
   }
   [[nodiscard]] QueryResult query_one(std::span<const float> query,
                                       std::size_t k) const override;
+  /// Senses only the (deduplicated, live) candidate rows; result and
+  /// telemetry are bit-identical to the default filtered-full-ranking
+  /// implementation.
+  [[nodiscard]] QueryResult query_subset(std::span<const float> query,
+                                         std::span<const std::size_t> ids,
+                                         std::size_t k) const override;
   [[nodiscard]] std::string name() const override;
   void save_state(serve::io::Writer& out) const override;
   void load_state(serve::io::Reader& in) override;

@@ -24,6 +24,51 @@ TEST(McamArray, AddRowValidation) {
   EXPECT_EQ(array.word_length(), 3u);
 }
 
+TEST(McamArray, RejectedRowDrawsNoNoiseOrFaults) {
+  // Levels are validated before any cell is programmed, so a rejected row
+  // leaves the Rng, the fault count and the word length as they were: the
+  // rows after it program exactly as a snapshot replay of the stored rows.
+  McamArrayConfig config;
+  config.vth_sigma = 0.05;
+  config.stuck_short_rate = 0.1;
+  config.stuck_open_rate = 0.1;
+  config.seed = 19;
+  McamArray fresh{config};
+  EXPECT_THROW((void)fresh.add_row(row({1, 2, 9})), std::out_of_range);
+  EXPECT_EQ(fresh.word_length(), 0u);
+  EXPECT_EQ(fresh.num_faulty_cells(), 0u);
+
+  McamArray rejected{config};
+  McamArray replayed{config};
+  for (McamArray* array : {&rejected, &replayed}) array->add_row(row({0, 3, 7, 5}));
+  EXPECT_THROW((void)rejected.add_row(row({1, 2, 3, 8})), std::out_of_range);
+  EXPECT_EQ(rejected.num_faulty_cells(), replayed.num_faulty_cells());
+  for (int r = 0; r < 20; ++r) {
+    const auto levels = row({r % 8, (r + 3) % 8, (r * 5) % 8, 7 - r % 8});
+    rejected.add_row(levels);
+    replayed.add_row(levels);
+  }
+  EXPECT_EQ(rejected.num_faulty_cells(), replayed.num_faulty_cells());
+  const auto query = row({2, 4, 6, 1});
+  EXPECT_EQ(rejected.search_conductances(query), replayed.search_conductances(query));
+}
+
+TEST(McamArray, RowConductanceEqualsSweepEntry) {
+  McamArrayConfig config;
+  config.vth_sigma = 0.05;
+  config.stuck_short_rate = 0.05;
+  config.seed = 29;
+  McamArray array{config};
+  for (int r = 0; r < 12; ++r) array.add_row(row({r % 8, (r * 3) % 8, 7 - r % 8}));
+  const auto query = row({3, 1, 6});
+  const std::vector<double> sweep = array.search_conductances(query);
+  for (std::size_t r = 0; r < sweep.size(); ++r) {
+    EXPECT_EQ(array.row_conductance(r, query), sweep[r]) << "row " << r;
+  }
+  EXPECT_THROW((void)array.row_conductance(12, query), std::out_of_range);
+  EXPECT_THROW((void)array.row_conductance(0, row({1, 2})), std::invalid_argument);
+}
+
 TEST(McamArray, SearchConductancesEqualLutSums) {
   McamArray array{McamArrayConfig{}};
   array.add_row(row({0, 3, 7}));

@@ -27,6 +27,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace mcam::search {
@@ -149,28 +150,81 @@ TEST(TwoStageIdentity, FullCandidateSetIsBitIdenticalPerFactoryBackend) {
   }
 }
 
+/// Result, label and every telemetry field of a query_subset override
+/// against the default implementation, all exact.
+void expect_same_subset(const QueryResult& fast, const QueryResult& slow,
+                        const std::string& context) {
+  expect_identical(fast, slow, context);
+  const QueryTelemetry& a = fast.telemetry;
+  const QueryTelemetry& b = slow.telemetry;
+  EXPECT_EQ(a.candidates, b.candidates) << context;
+  EXPECT_EQ(a.sense_events, b.sense_events) << context;
+  EXPECT_EQ(a.energy_j, b.energy_j) << context;
+  EXPECT_EQ(a.banks_searched, b.banks_searched) << context;
+  EXPECT_EQ(a.coarse_candidates, b.coarse_candidates) << context;
+  EXPECT_EQ(a.fine_candidates, b.fine_candidates) << context;
+  EXPECT_EQ(a.coarse_margin, b.coarse_margin) << context;
+  EXPECT_EQ(a.probes_used, b.probes_used) << context;
+  EXPECT_EQ(a.filtered_out, b.filtered_out) << context;
+  EXPECT_EQ(std::string{a.kernel}, std::string{b.kernel}) << context;
+}
+
 TEST(TwoStageQuery, SubsetOverrideMatchesDefaultImplementation) {
-  // SoftwareNnEngine overrides query_subset with a candidates-only scan;
-  // it must be bit-identical (result and telemetry) to the generic
-  // filtered-full-ranking default, which McamNnEngine exercises here via
-  // an equivalent-ranking metric check on the same candidate set.
+  // The software and CAM engines override query_subset with a
+  // candidates-only scan; each must be bit-identical (result and every
+  // telemetry field) to the generic filtered-full-ranking default, under
+  // both sensing modes, programming noise and stuck cells. Candidate
+  // lists carry duplicates, a tombstoned id and ids past the last row.
   const Data data = make_data(50, 6, 4, 229);
-  SoftwareNnEngine engine{"euclidean"};
-  engine.add(data.rows, data.labels);
-  ASSERT_TRUE(engine.erase(7));
-  const std::vector<std::size_t> ids{1, 7, 3, 3, 11, 29, 44, 49, 999};  // dup/dead/bogus
-  for (const auto& q : data.queries) {
-    const QueryResult fast = engine.query_subset(q, ids, 4);
-    const QueryResult slow = engine.NnIndex::query_subset(q, ids, 4);
-    expect_identical(fast, slow, "software subset override");
-    EXPECT_EQ(fast.telemetry.candidates, slow.telemetry.candidates);
-    EXPECT_EQ(fast.telemetry.candidates, 6u);  // 7 erased, 3 duped, 999 unknown.
-    EXPECT_EQ(fast.telemetry.sense_events, slow.telemetry.sense_events);
+  std::vector<std::pair<std::string, std::unique_ptr<NnIndex>>> engines;
+  engines.emplace_back("euclidean", std::make_unique<SoftwareNnEngine>("euclidean"));
+  for (const std::string key : {"mcam2", "mcam3", "tcam-lsh"}) {
+    EngineConfig config;
+    config.num_features = 6;
+    engines.emplace_back(key + " ideal", make_index(key, config));
+    config.sensing = cam::SensingMode::kMatchlineTiming;
+    config.sense_clock_period = 1e-9;  // Coarse clock: ties are frequent.
+    engines.emplace_back(key + " timing", make_index(key, config));
+    config.vth_sigma = 0.08;
+    engines.emplace_back(key + " timing+noise", make_index(key, config));
+    config.sensing = cam::SensingMode::kIdealSum;
+    engines.emplace_back(key + " ideal+noise", make_index(key, config));
   }
-  // Degenerate candidate sets fail loudly instead of returning nothing.
-  EXPECT_THROW((void)engine.query_subset(data.queries[0], {}, 3), std::invalid_argument);
-  const std::vector<std::size_t> dead{7};
-  EXPECT_THROW((void)engine.query_subset(data.queries[0], dead, 3), std::invalid_argument);
+  cam::McamArrayConfig faulty;
+  faulty.level_map = fefet::LevelMap{2};
+  faulty.vth_sigma = 0.05;
+  faulty.stuck_short_rate = 0.05;
+  faulty.stuck_open_rate = 0.05;
+  engines.emplace_back("mcam2 stuck", std::make_unique<McamNnEngine>(faulty));
+  faulty.sensing = cam::SensingMode::kMatchlineTiming;
+  faulty.sense_clock_period = 1e-9;
+  engines.emplace_back("mcam2 stuck+timing", std::make_unique<McamNnEngine>(faulty));
+
+  const std::vector<std::size_t> ids{1, 7, 3, 3, 11, 29, 44, 49, 999};  // dup/dead/bogus
+  std::vector<std::size_t> wide{7, 50, 7, 1000};  // dead/bogus, then every other row twice
+  for (std::size_t id = 0; id < 50; id += 2) wide.insert(wide.end(), {id, id});
+  for (auto& [context, engine] : engines) {
+    engine->add(data.rows, data.labels);
+    ASSERT_TRUE(engine->erase(7)) << context;
+    for (const auto& q : data.queries) {
+      for (std::size_t k : {0, 1, 4, 50}) {
+        const QueryResult fast = engine->query_subset(q, ids, k);
+        const QueryResult slow = engine->NnIndex::query_subset(q, ids, k);
+        expect_same_subset(fast, slow, context + " k=" + std::to_string(k));
+        EXPECT_EQ(fast.telemetry.candidates, 6u);  // 7 erased, 3 duped, 999 unknown.
+        expect_same_subset(engine->query_subset(q, wide, k),
+                           engine->NnIndex::query_subset(q, wide, k),
+                           context + " wide k=" + std::to_string(k));
+      }
+    }
+    // Degenerate candidate sets fail loudly instead of returning nothing.
+    EXPECT_THROW((void)engine->query_subset(data.queries[0], {}, 3), std::invalid_argument)
+        << context;
+    const std::vector<std::size_t> dead{7, 7, 4096};
+    EXPECT_THROW((void)engine->query_subset(data.queries[0], dead, 3),
+                 std::invalid_argument)
+        << context;
+  }
 }
 
 TEST(TwoStageQuery, SubsetEnergyChargesOnlyTheCandidateFraction) {

@@ -1,11 +1,13 @@
 #include "cam/tcam.hpp"
 
+#include "fefet/device.hpp"
 #include "sig/multiprobe.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace mcam::cam {
@@ -329,6 +331,189 @@ TEST(TcamArray, ProgrammingNoiseKeepsSmallDistanceOrdering) {
   tcam.add_row_bits(bits({1, 1, 1, 1, 0, 0, 0, 0}));
   const SearchOutcome outcome = tcam.nearest(bits({0, 0, 0, 0, 0, 0, 0, 0}));
   EXPECT_EQ(outcome.row, 0u);
+}
+
+/// Vth offsets (left, right) per cell, row-major, parallel to the rows.
+using Offsets = std::vector<std::vector<std::pair<float, float>>>;
+
+/// Sequential per-cell reference for TcamArray::search_conductances: each
+/// row adds, in column order, the two FeFET channel conductances of every
+/// cell the query does not mask, from the array's level map and channel.
+std::vector<double> reference_conductances(const TcamArray& tcam,
+                                           const std::vector<std::vector<Trit>>& rows,
+                                           const Offsets& offsets,
+                                           const std::vector<Trit>& query) {
+  const fefet::LevelMap& map = tcam.level_map();
+  std::vector<double> totals;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    double g_total = 0.0;
+    for (std::size_t c = 0; c < query.size(); ++c) {
+      if (query[c] == Trit::kDontCare) continue;
+      const Trit stored = rows[r][c];
+      const double v_in = map.input_voltage(query[c] == Trit::kOne ? 1 : 0);
+      const auto s = static_cast<std::size_t>(stored);
+      const double vth_right =
+          stored == Trit::kDontCare ? map.v_max() : map.right_fefet_vth(s);
+      const double vth_left = stored == Trit::kDontCare ? map.v_max() : map.left_fefet_vth(s);
+      const auto [dvth_left, dvth_right] = offsets[r][c];
+      g_total += fefet::channel_conductance(tcam.config().channel,
+                                            v_in - (vth_right + dvth_right)) +
+                 fefet::channel_conductance(tcam.config().channel,
+                                            map.invert(v_in) - (vth_left + dvth_left));
+    }
+    totals.push_back(g_total);
+  }
+  return totals;
+}
+
+/// Programs `num_rows` random ternary rows (about a sixth of the cells
+/// stored as kDontCare) and returns them with the Vth offsets the array
+/// drew for them, replayed from its documented sampling order: per cell,
+/// left then right vth_sigma draw, then left then right drift_sigma draw.
+std::pair<std::vector<std::vector<Trit>>, Offsets> program_random(
+    TcamArray& tcam, std::size_t num_rows, std::size_t width, Rng& rng) {
+  const TcamArrayConfig& config = tcam.config();
+  Rng replay{config.seed};
+  std::vector<std::vector<Trit>> rows;
+  Offsets offsets;
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    std::vector<Trit> word(width);
+    std::vector<std::pair<float, float>> cells(width);
+    for (std::size_t c = 0; c < width; ++c) {
+      word[c] = rng.bernoulli(1.0 / 6.0)  ? Trit::kDontCare
+                : rng.bernoulli(0.5) ? Trit::kOne
+                                     : Trit::kZero;
+      auto& [left, right] = cells[c];
+      if (config.vth_sigma > 0.0) {
+        left = static_cast<float>(replay.normal(0.0, config.vth_sigma));
+        right = static_cast<float>(replay.normal(0.0, config.vth_sigma));
+      }
+      if (config.drift_sigma > 0.0) {
+        left += static_cast<float>(replay.normal(0.0, config.drift_sigma));
+        right += static_cast<float>(replay.normal(0.0, config.drift_sigma));
+      }
+    }
+    tcam.add_row(word);
+    rows.push_back(std::move(word));
+    offsets.push_back(std::move(cells));
+  }
+  return {std::move(rows), std::move(offsets)};
+}
+
+/// Checks full and row-subset sweeps, binary and ternary, bit for bit
+/// against the per-cell reference.
+void expect_sweeps_match_reference(const TcamArray& tcam,
+                                   const std::vector<std::vector<Trit>>& rows,
+                                   const Offsets& offsets, Rng& rng, const char* context) {
+  const std::size_t width = tcam.word_length();
+  for (int q = 0; q < 8; ++q) {
+    // Even queries are binary; odd ones mask about a third of the columns.
+    std::vector<std::uint8_t> query_bits(width);
+    std::vector<Trit> query(width);
+    for (std::size_t c = 0; c < width; ++c) {
+      query_bits[c] = rng.bernoulli(0.5) ? 1 : 0;
+      query[c] = query_bits[c] != 0 ? Trit::kOne : Trit::kZero;
+      if (q % 2 == 1 && rng.bernoulli(1.0 / 3.0)) query[c] = Trit::kDontCare;
+    }
+    const std::vector<double> expected = reference_conductances(tcam, rows, offsets, query);
+    const std::vector<double> got = tcam.search_conductances(std::span<const Trit>{query});
+    ASSERT_EQ(got.size(), expected.size()) << context;
+    for (std::size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r], expected[r]) << context << " query " << q << " row " << r;
+    }
+    if (q % 2 == 0) {
+      const std::vector<double> binary = tcam.search_conductances(query_bits);
+      for (std::size_t r = 0; r < binary.size(); ++r) {
+        EXPECT_EQ(binary[r], expected[r]) << context << " binary query " << q << " row " << r;
+      }
+    }
+    // A row subset (out of order, with a repeat) reads the same entries.
+    const std::vector<std::size_t> subset{rows.size() - 1, 0, 5, 5, 17, 9};
+    const std::vector<double> picked = tcam.search_conductances(query, subset);
+    ASSERT_EQ(picked.size(), subset.size()) << context;
+    for (std::size_t i = 0; i < subset.size(); ++i) {
+      EXPECT_EQ(picked[i], expected[subset[i]]) << context << " subset entry " << i;
+    }
+  }
+}
+
+TEST(TcamArray, SweepIsTheSequentialPerCellSum) {
+  // 37 rows: not a multiple of the sweep's 8-row lockstep, so the tail
+  // path runs too. Tombstones keep their conductance in the sweep.
+  constexpr std::size_t kRows = 37;
+  constexpr std::size_t kWidth = 19;
+  Rng rng{41};
+
+  TcamArray clean{TcamArrayConfig{}};
+  auto [clean_rows, clean_offsets] = program_random(clean, kRows, kWidth, rng);
+  ASSERT_TRUE(clean.invalidate_row(3));
+  ASSERT_TRUE(clean.invalidate_row(17));
+  expect_sweeps_match_reference(clean, clean_rows, clean_offsets, rng, "noiseless");
+
+  TcamArrayConfig noisy_config;
+  noisy_config.vth_sigma = 0.05;
+  noisy_config.drift_sigma = 0.02;
+  noisy_config.seed = 23;
+  TcamArray noisy{noisy_config};
+  auto [noisy_rows, noisy_offsets] = program_random(noisy, kRows, kWidth, rng);
+  ASSERT_TRUE(noisy.invalidate_row(9));
+  expect_sweeps_match_reference(noisy, noisy_rows, noisy_offsets, rng, "noisy");
+
+  // Drift on a noiseless array: per cell, a left then a right draw from
+  // its own Rng, row-major.
+  constexpr std::uint64_t kDriftSeed = 99;
+  constexpr double kDriftSigma = 0.03;
+  ASSERT_EQ(clean.apply_drift(kDriftSigma, kDriftSeed), kRows * kWidth);
+  Rng drift{kDriftSeed};
+  for (auto& cells : clean_offsets) {
+    for (auto& [left, right] : cells) {
+      left += static_cast<float>(drift.normal(0.0, kDriftSigma));
+      right += static_cast<float>(drift.normal(0.0, kDriftSigma));
+    }
+  }
+  expect_sweeps_match_reference(clean, clean_rows, clean_offsets, rng, "drifted");
+
+  // Rows programmed after the drift carry no offset of their own.
+  std::vector<Trit> late(kWidth, Trit::kOne);
+  late[2] = Trit::kDontCare;
+  clean.add_row(late);
+  clean_rows.push_back(late);
+  clean_offsets.emplace_back(kWidth);
+  expect_sweeps_match_reference(clean, clean_rows, clean_offsets, rng, "drifted+late");
+
+  const std::vector<Trit> query(kWidth, Trit::kZero);
+  const std::vector<std::size_t> bad_row{kRows + 1};
+  EXPECT_THROW((void)clean.search_conductances(query, bad_row), std::out_of_range);
+}
+
+TEST(TcamArray, AddRowRejectsOutOfRangeTritBeforeProgramming) {
+  TcamArrayConfig config;
+  config.vth_sigma = 0.05;
+  config.seed = 3;
+  const std::vector<Trit> first{Trit::kOne, Trit::kZero, Trit::kDontCare};
+  const std::vector<Trit> second{Trit::kZero, Trit::kZero, Trit::kOne};
+  const std::vector<Trit> bad{Trit::kOne, Trit::kZero, static_cast<Trit>(3)};
+
+  // A rejected first row does not fix the word length.
+  TcamArray fresh{config};
+  EXPECT_THROW((void)fresh.add_row(std::vector<Trit>{static_cast<Trit>(7)}),
+               std::invalid_argument);
+  EXPECT_EQ(fresh.num_rows(), 0u);
+  EXPECT_EQ(fresh.word_length(), 0u);
+
+  // A rejected row draws no noise: the next row is programmed exactly as
+  // if the bad one had never been offered.
+  TcamArray rejected{config};
+  TcamArray replayed{config};
+  rejected.add_row(first);
+  replayed.add_row(first);
+  EXPECT_THROW((void)rejected.add_row(bad), std::invalid_argument);
+  EXPECT_EQ(rejected.num_rows(), 1u);
+  rejected.add_row(second);
+  replayed.add_row(second);
+  const std::vector<std::uint8_t> query{1, 0, 1};
+  EXPECT_EQ(rejected.search_conductances(query), replayed.search_conductances(query));
+  EXPECT_EQ(rejected.row_trits(1), second);
 }
 
 }  // namespace
