@@ -5,17 +5,23 @@
 // including after an erase wave - then reports single-query latency vs the
 // per-bank worker count (the shard layer fans one query across banks in
 // parallel; on a multi-core host the speedup approaches min(banks, cores)).
-// Exits non-zero on any divergence, so CI runs it as a smoke step.
+// Also reports build time (make + add every row) and snapshot restore
+// time, sharded vs monolithic, best of kRepeats: the shard layer fits its
+// encoders once per index, so both should sit near the monolithic figures.
+// Timings are reported (and written as JSON with --json or
+// MCAM_BENCH_JSON), never gated. Exits non-zero on any divergence, so CI
+// runs it as a smoke step.
 #include "bench_common.hpp"
 
 #include "search/factory.hpp"
 #include "search/sharded.hpp"
+#include "serve/snapshot.hpp"
 
 #include <chrono>
 #include <iostream>
 #include <thread>
 
-int main() {
+int main(int argc, char** argv) {
   using namespace mcam;
   using Clock = std::chrono::steady_clock;
 
@@ -105,10 +111,63 @@ int main() {
   }
   bench::emit(table, "shard_scaling");
 
+  // Build and restore cost, sharded vs monolithic, on the same rows.
+  search::EngineConfig sharded_config = config;
+  sharded_config.bank_rows = kBankRows;
+  sharded_config.shard_workers = 1;
+  const auto best_ms = [&](const auto& run) {
+    double best = 1e30;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      const auto start = Clock::now();
+      run();
+      const std::chrono::duration<double, std::milli> elapsed = Clock::now() - start;
+      best = std::min(best, elapsed.count());
+    }
+    return best;
+  };
+  const auto build_ms = [&](const std::string& spec, const search::EngineConfig& cfg) {
+    return best_ms([&] { search::make_index(spec, cfg)->add(rows, labels); });
+  };
+  const auto restore_ms = [&](const std::string& spec, const search::EngineConfig& cfg,
+                              bool& identical) {
+    auto index = search::make_index(spec, cfg);
+    index->add(rows, labels);
+    for (std::size_t id = 7; id < kRows; id += 13) (void)index->erase(id);
+    const std::vector<std::uint8_t> blob = serve::save(*index, spec, cfg);
+    identical = identical_to_reference(*serve::load(blob));
+    return best_ms([&] { (void)serve::load(blob); });
+  };
+  bool monolithic_restored = false;
+  bool sharded_restored = false;
+  const double monolithic_build = build_ms("mcam3", config);
+  const double sharded_build = build_ms("sharded-mcam3", sharded_config);
+  const double monolithic_restore = restore_ms("mcam3", config, monolithic_restored);
+  const double sharded_restore = restore_ms("sharded-mcam3", sharded_config, sharded_restored);
+  all_identical = all_identical && monolithic_restored && sharded_restored;
+
+  TextTable setup{"Build (make + add " + std::to_string(kRows) +
+                  " rows) and snapshot restore, best of " + std::to_string(kRepeats)};
+  setup.set_header({"engine", "build [ms]", "restore [ms]", "restored identical"});
+  setup.add_row({"monolithic", format_double(monolithic_build, 2),
+                 format_double(monolithic_restore, 2), monolithic_restored ? "yes" : "NO"});
+  setup.add_row({"sharded", format_double(sharded_build, 2), format_double(sharded_restore, 2),
+                 sharded_restored ? "yes" : "NO"});
+  bench::emit(setup, "shard_setup");
+
+  bench::BenchReport report{"shard_scaling", argc, argv};
+  report.note("rows", std::to_string(kRows));
+  report.note("bank_rows", std::to_string(kBankRows));
+  report.metric("monolithic_build", monolithic_build, "ms");
+  report.metric("sharded_build", sharded_build, "ms");
+  report.metric("monolithic_restore", monolithic_restore, "ms");
+  report.metric("sharded_restore", sharded_restore, "ms");
+  report.write();
+
   std::cout << "Check: every worker count returns bit-identical neighbors and scores to\n"
-               "the monolithic engine (erase wave included) - the per-bank fan-out and\n"
-               "hierarchical merge change the wall clock, never the answer. Speedup\n"
-               "tracks min(banks, cores) on an unloaded multi-core host.\n";
+               "the monolithic engine (erase wave included), before and after a snapshot\n"
+               "restore - the per-bank fan-out and hierarchical merge change the wall\n"
+               "clock, never the answer. Speedup tracks min(banks, cores) on an unloaded\n"
+               "multi-core host.\n";
   if (!all_identical) {
     std::cout << "FAIL: sharded results diverged from the monolithic engine\n";
     return 1;

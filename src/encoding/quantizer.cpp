@@ -16,6 +16,13 @@ UniformQuantizer UniformQuantizer::fit(std::span<const std::vector<float>> rows,
   const std::size_t width = rows.front().size();
   for (const auto& row : rows) {
     if (row.size() != width) throw std::invalid_argument{"UniformQuantizer::fit: ragged rows"};
+    // NaN breaks the strict weak ordering the order statistics below rely
+    // on, and an infinite range would map every finite value to one level.
+    for (float v : row) {
+      if (!std::isfinite(v)) {
+        throw std::invalid_argument{"UniformQuantizer::fit: non-finite value"};
+      }
+    }
   }
 
   UniformQuantizer q;
@@ -25,13 +32,31 @@ UniformQuantizer UniformQuantizer::fit(std::span<const std::vector<float>> rows,
   std::vector<float> column(rows.size());
   for (std::size_t f = 0; f < width; ++f) {
     for (std::size_t r = 0; r < rows.size(); ++r) column[r] = rows[r][f];
-    std::sort(column.begin(), column.end());
-    const auto pick = [&column](double p) {
+    // -0.0 and +0.0 compare equal, so which one a sort or selection leaves
+    // at a position is unspecified; settle it as if -0.0 sorted first:
+    // position i holds -0.0 iff more than i values carry the sign bit (no
+    // NaN gets here, so the sign bit means "< 0 or -0.0").
+    const auto settle_zero = [&column](float value, std::size_t position) {
+      if (value != 0.0f) return value;
+      const auto negative =
+          std::count_if(column.begin(), column.end(), [](float v) { return std::signbit(v); });
+      return static_cast<std::size_t>(negative) > position ? -0.0f : 0.0f;
+    };
+    // Each percentile interpolates two adjacent order statistics. Selecting
+    // them (nth_element, then the tail minimum) is O(n) per feature and
+    // yields exactly the values a full sort would put at those positions.
+    const auto pick = [&column, &settle_zero](double p) {
       const double pos = p / 100.0 * static_cast<double>(column.size() - 1);
       const auto lo_idx = static_cast<std::size_t>(pos);
       const std::size_t hi_idx = std::min(lo_idx + 1, column.size() - 1);
       const double frac = pos - static_cast<double>(lo_idx);
-      return static_cast<float>(column[lo_idx] * (1.0 - frac) + column[hi_idx] * frac);
+      const auto lo_it = column.begin() + static_cast<std::ptrdiff_t>(lo_idx);
+      std::nth_element(column.begin(), lo_it, column.end());
+      const float lo_value = settle_zero(*lo_it, lo_idx);
+      const float hi_value =
+          hi_idx == lo_idx ? lo_value
+                           : settle_zero(*std::min_element(lo_it + 1, column.end()), hi_idx);
+      return static_cast<float>(lo_value * (1.0 - frac) + hi_value * frac);
     };
     q.lo_[f] = pick(clip_percentile);
     q.hi_[f] = pick(100.0 - clip_percentile);

@@ -25,16 +25,41 @@ void ShardedNnIndex::calibrate(std::span<const std::vector<float>> rows) {
   if (rows.empty()) throw std::invalid_argument{"ShardedNnIndex::calibrate: no rows"};
   calibration_rows_.assign(rows.begin(), rows.end());
   word_length_ = rows.front().size();
+  // Fit now, in the first bank: rows the encoders reject (a non-finite
+  // value) must leave the index uncalibrated, as they leave a monolithic
+  // engine, rather than fail every later add.
+  try {
+    new_bank();
+  } catch (...) {
+    calibration_rows_.clear();
+    word_length_ = 0;
+    throw;
+  }
+}
+
+std::unique_ptr<NnIndex> ShardedNnIndex::make_bank_engine() {
+  std::unique_ptr<NnIndex> engine = bank_factory_();
+  if (!engine) throw std::invalid_argument{"ShardedNnIndex: factory returned null"};
+  if (calibrated_bank_.empty()) {
+    // The first bank fits the encoders on the rows the monolithic engine
+    // would have used; its empty, calibrated payload is kept as the image
+    // every later bank restores, so the index pays for one fit, not one
+    // per bank, and all banks share one encoder (comparable scores).
+    engine->calibrate(calibration_rows_);
+    serve::io::Writer image;
+    engine->save_state(image);
+    calibrated_bank_ = image.buffer();
+  } else {
+    serve::io::Reader image{calibrated_bank_};
+    engine->load_state(image);
+  }
+  ++stats_.banks_allocated;
+  return engine;
 }
 
 ShardedNnIndex::Bank& ShardedNnIndex::new_bank() {
   Bank bank;
-  bank.engine = bank_factory_();
-  if (!bank.engine) throw std::invalid_argument{"ShardedNnIndex: factory returned null"};
-  // Every bank fits its encoders on the same rows the monolithic engine
-  // would have used, so scores are comparable across banks.
-  bank.engine->calibrate(calibration_rows_);
-  ++stats_.banks_allocated;
+  bank.engine = make_bank_engine();
   banks_.push_back(std::move(bank));
   return banks_.back();
 }
@@ -77,6 +102,7 @@ void ShardedNnIndex::add(std::span<const std::vector<float>> rows,
 void ShardedNnIndex::clear() {
   banks_.clear();
   calibration_rows_.clear();
+  calibrated_bank_.clear();
   next_id_ = 0;
   live_rows_ = 0;
   word_length_ = 0;
@@ -132,10 +158,7 @@ void ShardedNnIndex::compact(std::size_t b) {
     return;
   }
   Bank fresh;
-  fresh.engine = bank_factory_();
-  if (!fresh.engine) throw std::invalid_argument{"ShardedNnIndex: factory returned null"};
-  fresh.engine->calibrate(calibration_rows_);
-  ++stats_.banks_allocated;
+  fresh.engine = make_bank_engine();
   for (std::size_t i = 0; i < bank.rows.size(); ++i) {
     if (!bank.live[i]) continue;
     fresh.rows.push_back(std::move(bank.rows[i]));

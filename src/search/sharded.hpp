@@ -8,10 +8,15 @@
 // that around *any* NnIndex backend:
 //
 //  - `add` routes rows into fixed-capacity banks, allocating a fresh bank
-//    from the factory when the last one fills. Every bank is calibrated on
-//    the same rows the monolithic engine would have fitted its encoders on
-//    (the first add batch, or an explicit `calibrate` call), so per-bank
-//    scores stay globally comparable.
+//    from the factory when the last one fills. The encoders are fitted
+//    once per index, like the one set of data-line drivers a multi-bank
+//    MCAM shares: the first bank calibrates on the rows the monolithic
+//    engine would have fitted on (the first add batch, or an explicit
+//    `calibrate` call), and its empty, calibrated snapshot payload becomes
+//    the image every later bank - new, compacted or restored - loads. So
+//    all banks carry the same quantizer / scaler / LSH planes and per-bank
+//    scores stay globally comparable, while each bank keeps the hardware
+//    draws (variation seed, capacity) of its own factory config.
 //  - `query_one` fans the query across the banks - in parallel across
 //    worker threads for large bank counts - and hierarchically merges the
 //    per-bank top-k lists into one nearest-first ranking. Under kIdealSum
@@ -45,7 +50,15 @@
 
 namespace mcam::search {
 
-/// Builds one fresh (empty, uncalibrated) bank engine.
+/// Builds one fresh (empty, uncalibrated) bank engine. The engine must
+/// implement the snapshot hooks (NnIndex::save_state / load_state), as
+/// every in-tree engine does: the shard layer calibrates only the first
+/// bank and restores every later one from that bank's empty, calibrated
+/// payload. That payload carries fitted encoder state only (quantizer,
+/// scaler, LSH planes); the array itself is rebuilt from the new engine's
+/// own config, so a factory that varies the hardware per bank (seed,
+/// vth_sigma) keeps that variation, while encoders fixed per engine
+/// (e.g. per-bank LSH seeds) give way to the first bank's.
 using BankFactory = std::function<std::unique_ptr<NnIndex>()>;
 
 /// Shard-layer knobs.
@@ -86,8 +99,8 @@ struct ShardStats {
 class ShardedNnIndex final : public NnIndex {
  public:
   /// `bank_factory` must yield a fresh engine per call; every bank must be
-  /// the same backend with the same configuration or scores stop being
-  /// comparable. Throws std::invalid_argument on a null factory or zero
+  /// the same backend (the shared calibrated image is that backend's
+  /// payload). Throws std::invalid_argument on a null factory or zero
   /// bank_rows.
   explicit ShardedNnIndex(BankFactory bank_factory, ShardedConfig config = ShardedConfig{});
 
@@ -102,12 +115,13 @@ class ShardedNnIndex final : public NnIndex {
 
   /// Serializes the calibration rows, the id map and every bank's raw
   /// rows/labels/validity latches. Banks are *not* serialized as engine
-  /// payloads: load_state rebuilds each bank through the factory and
-  /// replays calibrate + add + erase, which is exactly the canonical
-  /// construction of the bank's current state (compaction already reduced
-  /// it to "fresh engine + live adds"), so the restored index answers
-  /// queries bit-identically under both sensing modes. ShardStats
-  /// telemetry deliberately restarts at zero.
+  /// payloads: load_state refits the encoders once on the calibration
+  /// rows, builds every bank through the factory from that one calibrated
+  /// image, and replays add + erase - exactly the canonical construction
+  /// of the bank's current state (compaction already reduced it to "fresh
+  /// engine + live adds"), so the restored index answers queries
+  /// bit-identically under both sensing modes. ShardStats telemetry
+  /// deliberately restarts at zero.
   void save_state(serve::io::Writer& out) const override;
   void load_state(serve::io::Reader& in) override;
 
@@ -145,7 +159,10 @@ class ShardedNnIndex final : public NnIndex {
     std::size_t live_count = 0;
   };
 
-  /// Allocates, calibrates and appends a fresh bank.
+  /// Builds one calibrated, empty bank engine: the first call calibrates
+  /// it and records `calibrated_bank_`, later calls load that image.
+  [[nodiscard]] std::unique_ptr<NnIndex> make_bank_engine();
+  /// Appends a fresh bank from make_bank_engine().
   Bank& new_bank();
   /// Reprograms bank `b` with only its live rows (or drops it when empty).
   void compact(std::size_t b);
@@ -163,7 +180,10 @@ class ShardedNnIndex final : public NnIndex {
   BankFactory bank_factory_;
   ShardedConfig config_;
   std::vector<Bank> banks_;
-  std::vector<std::vector<float>> calibration_rows_;  ///< What every bank calibrates on.
+  std::vector<std::vector<float>> calibration_rows_;  ///< What the encoders are fitted on.
+  /// save_state payload of the first calibrated, empty bank; every later
+  /// bank loads it instead of refitting. Empty until the first bank.
+  std::vector<std::uint8_t> calibrated_bank_;
   std::size_t next_id_ = 0;
   std::size_t live_rows_ = 0;
   std::size_t word_length_ = 0;

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numbers>
+#include <utility>
 
 namespace mcam::encoding {
 namespace {
@@ -137,6 +141,84 @@ TEST(UniformQuantizer, Validation) {
   EXPECT_THROW((void)UniformQuantizer::fit(toy_rows(), 3, 60.0), std::invalid_argument);
   const UniformQuantizer q = UniformQuantizer::fit(toy_rows(), 3);
   EXPECT_THROW((void)q.quantize(std::vector<float>{1.0f}), std::invalid_argument);
+}
+
+/// Frozen copy of the original fit: sort each column, interpolate the two
+/// order statistics around each clip percentile. The selection-based fit
+/// must reproduce its ranges bit for bit. The sort pins -0.0 before +0.0:
+/// plain `<` leaves the order of those equal-but-distinct values to the
+/// sort's internals, and that order alone decides the sign of a zero
+/// range end.
+std::pair<std::vector<float>, std::vector<float>> sort_based_fit(
+    const std::vector<std::vector<float>>& rows, double clip_percentile) {
+  const std::size_t width = rows.front().size();
+  std::vector<float> lo(width);
+  std::vector<float> hi(width);
+  std::vector<float> column(rows.size());
+  for (std::size_t f = 0; f < width; ++f) {
+    for (std::size_t r = 0; r < rows.size(); ++r) column[r] = rows[r][f];
+    std::sort(column.begin(), column.end(), [](float a, float b) {
+      return a < b || (a == 0.0f && b == 0.0f && std::signbit(a) && !std::signbit(b));
+    });
+    const auto pick = [&column](double p) {
+      const double pos = p / 100.0 * static_cast<double>(column.size() - 1);
+      const auto lo_idx = static_cast<std::size_t>(pos);
+      const std::size_t hi_idx = std::min(lo_idx + 1, column.size() - 1);
+      const double frac = pos - static_cast<double>(lo_idx);
+      return static_cast<float>(column[lo_idx] * (1.0 - frac) + column[hi_idx] * frac);
+    };
+    lo[f] = pick(clip_percentile);
+    hi[f] = pick(100.0 - clip_percentile);
+    if (!(hi[f] > lo[f])) hi[f] = lo[f] + 1.0f;
+  }
+  return {lo, hi};
+}
+
+TEST(UniformQuantizer, SelectionFitMatchesSortFitBitwise) {
+  // Columns: continuous, heavy duplicates, constant, signed zeros only,
+  // signed zeros among +-1, and a wide integer grid.
+  Rng rng{2024};
+  const auto signed_zero = [&rng] { return rng.index(2) == 0 ? -0.0f : 0.0f; };
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{257},
+                        std::size_t{4096}}) {
+    std::vector<std::vector<float>> rows;
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t pick = rng.index(3);
+      rows.push_back({static_cast<float>(rng.normal(0.0, 1.0)),
+                      static_cast<float>(rng.index(4)) * 0.25f, 2.5f, signed_zero(),
+                      pick == 0 ? signed_zero() : (pick == 1 ? 1.0f : -1.0f),
+                      static_cast<float>(rng.index(1000)) - 500.0f});
+    }
+    for (double clip : {0.0, 6.0, 49.0}) {
+      const UniformQuantizer q = UniformQuantizer::fit(rows, 3, clip);
+      const auto [lo, hi] = sort_based_fit(rows, clip);
+      ASSERT_EQ(q.lows().size(), lo.size());
+      ASSERT_EQ(q.highs().size(), hi.size());
+      EXPECT_EQ(std::memcmp(q.lows().data(), lo.data(), lo.size() * sizeof(float)), 0)
+          << "n=" << n << " clip=" << clip;
+      EXPECT_EQ(std::memcmp(q.highs().data(), hi.data(), hi.size() * sizeof(float)), 0)
+          << "n=" << n << " clip=" << clip;
+      // The fitted ranges do not depend on the order the rows arrive in.
+      const std::vector<std::vector<float>> reversed(rows.rbegin(), rows.rend());
+      const UniformQuantizer r = UniformQuantizer::fit(reversed, 3, clip);
+      EXPECT_EQ(std::memcmp(r.lows().data(), lo.data(), lo.size() * sizeof(float)), 0);
+      EXPECT_EQ(std::memcmp(r.highs().data(), hi.data(), hi.size() * sizeof(float)), 0);
+    }
+  }
+}
+
+TEST(UniformQuantizer, FitRejectsNonFiniteValues) {
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    for (std::size_t r = 0; r < 4; ++r) {
+      auto rows = toy_rows();
+      rows[r][r % 3] = bad;
+      EXPECT_THROW((void)UniformQuantizer::fit(rows, 3), std::invalid_argument)
+          << "value " << bad << " in row " << r;
+      EXPECT_THROW((void)UniformQuantizer::fit(rows, 3, 6.0), std::invalid_argument);
+    }
+  }
 }
 
 TEST(Signature, PackUnpackRoundTrip) {

@@ -12,11 +12,15 @@
 #include "search/engine.hpp"
 #include "search/factory.hpp"
 #include "serve/io.hpp"
+#include "serve/snapshot.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -592,6 +596,249 @@ TEST(ShardedLifecycle, QueryBeforeAddAndClearResetsCalibration) {
   index->add(shifted.rows, shifted.labels);
   EXPECT_EQ(index->size(), 8u);
   EXPECT_EQ(index->query_one(shifted.queries[0], 1).neighbors.size(), 1u);
+}
+
+/// Bank engine for the fit-count test: an mcam2 engine behind a wrapper
+/// that forwards every NnIndex call and counts encoder fits - explicit
+/// `calibrate` calls, plus any `add` that would fit implicitly because the
+/// bank was neither calibrated nor restored first. All banks of one index
+/// share one counter.
+class CountingBank final : public NnIndex {
+ public:
+  CountingBank(std::unique_ptr<NnIndex> inner, std::shared_ptr<std::size_t> fits)
+      : inner_(std::move(inner)), fits_(std::move(fits)) {}
+
+  void add(std::span<const std::vector<float>> rows, std::span<const int> labels) override {
+    if (!primed_) ++*fits_;
+    primed_ = true;
+    inner_->add(rows, labels);
+  }
+  void calibrate(std::span<const std::vector<float>> rows) override {
+    ++*fits_;
+    primed_ = true;
+    inner_->calibrate(rows);
+  }
+  void clear() override {
+    primed_ = false;
+    inner_->clear();
+  }
+  bool erase(std::size_t id) override { return inner_->erase(id); }
+  [[nodiscard]] std::size_t size() const override { return inner_->size(); }
+  [[nodiscard]] QueryResult query_one(std::span<const float> query,
+                                      std::size_t k) const override {
+    return inner_->query_one(query, k);
+  }
+  [[nodiscard]] QueryResult query_subset(std::span<const float> query,
+                                         std::span<const std::size_t> ids,
+                                         std::size_t k) const override {
+    return inner_->query_subset(query, ids, k);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void save_state(serve::io::Writer& out) const override { inner_->save_state(out); }
+  void load_state(serve::io::Reader& in) override {
+    primed_ = true;
+    inner_->load_state(in);
+  }
+
+  [[nodiscard]] std::size_t fits() const { return *fits_; }
+
+ private:
+  std::unique_ptr<NnIndex> inner_;
+  std::shared_ptr<std::size_t> fits_;
+  bool primed_ = false;
+};
+
+/// Registers "counted-sharded-mcam2": sharded-mcam2 over CountingBanks,
+/// with a fresh fit counter per index instance.
+void register_counted_sharded() {
+  static const bool registered = [] {
+    EngineFactory::instance().register_engine(
+        "counted-sharded-mcam2", [](const EngineConfig& config) -> std::unique_ptr<NnIndex> {
+          ShardedConfig shard;
+          shard.bank_rows = config.bank_rows;
+          shard.workers = 1;
+          auto fits = std::make_shared<std::size_t>(0);
+          return make_sharded(
+              [config, fits] {
+                return std::make_unique<CountingBank>(make_index("mcam2", config), fits);
+              },
+              shard);
+        });
+    return true;
+  }();
+  (void)registered;
+}
+
+/// Fits the counted index's banks have requested so far.
+std::size_t fits_of(const NnIndex& index) {
+  const auto& sharded = dynamic_cast<const ShardedNnIndex&>(index);
+  return dynamic_cast<const CountingBank&>(sharded.bank(0)).fits();
+}
+
+TEST(ShardedCalibration, OneEncoderFitPerIndexAcrossBuildGrowCompactClearAndRestore) {
+  // The shard layer fits the encoders once and restores every further bank
+  // from that calibrated image: a 16-bank build, a bank-opening add, a
+  // compacting erase wave and a snapshot restore each cost exactly one fit
+  // per calibration, and every backend still answers bit-identically to
+  // its monolithic engine after each event.
+  register_counted_sharded();
+  const Data data = make_data(256, 8, 6, 163);
+  const Data later = make_data(41, 8, 1, 167);
+  const std::vector<std::pair<std::string, std::string>> pairs{
+      {"sharded-mcam2", "mcam2"},
+      {"sharded-mcam3", "mcam3"},
+      {"sharded-tcam-lsh", "tcam-lsh"},
+      {"sharded-cosine:rerank=int8", "cosine:rerank=int8"},
+      {"counted-sharded-mcam2", "mcam2"}};
+  for (const auto& [sharded_spec, monolithic_spec] : pairs) {
+    EngineConfig config;
+    config.num_features = 8;
+    EngineConfig sharded_config = config;
+    sharded_config.bank_rows = 16;
+    sharded_config.shard_workers = 1;
+    auto sharded = make_index(sharded_spec, sharded_config);
+    auto monolithic = make_index(monolithic_spec, config);
+    const bool counted = sharded_spec == "counted-sharded-mcam2";
+    const auto check = [&](const NnIndex& s, const NnIndex& m, const std::string& event,
+                           std::size_t expected_fits) {
+      ASSERT_EQ(s.size(), m.size()) << sharded_spec << " " << event;
+      for (const auto& q : data.queries) {
+        for (std::size_t k : {std::size_t{1}, std::size_t{7}, std::size_t{40}}) {
+          expect_identical(s.query_one(q, k), m.query_one(q, k),
+                           sharded_spec + " after " + event + " k=" + std::to_string(k));
+        }
+      }
+      if (counted) {
+        EXPECT_EQ(fits_of(s), expected_fits) << event;
+      }
+    };
+
+    sharded->add(data.rows, data.labels);
+    monolithic->add(data.rows, data.labels);
+    auto& shards = dynamic_cast<ShardedNnIndex&>(*sharded);
+    ASSERT_EQ(shards.num_banks(), 16u);
+    check(*sharded, *monolithic, "cold build", 1);
+
+    sharded->add(std::span{later.rows}.first(1), std::span{later.labels}.first(1));
+    monolithic->add(std::span{later.rows}.first(1), std::span{later.labels}.first(1));
+    ASSERT_EQ(shards.num_banks(), 17u);
+    check(*sharded, *monolithic, "bank-opening add", 1);
+
+    for (std::size_t id = 16; id < 28; ++id) {
+      EXPECT_EQ(sharded->erase(id), monolithic->erase(id));
+    }
+    ASSERT_GE(shards.stats().compactions, 1u);
+    check(*sharded, *monolithic, "compacting erase wave", 1);
+
+    // clear drops the calibration: the re-add fits exactly once more.
+    sharded->clear();
+    monolithic->clear();
+    sharded->add(later.rows, later.labels);
+    monolithic->add(later.rows, later.labels);
+    ASSERT_EQ(shards.num_banks(), 3u);
+    check(*sharded, *monolithic, "clear + re-add", 2);
+
+    sharded->add(data.rows, data.labels);
+    monolithic->add(data.rows, data.labels);
+    const auto restored_sharded =
+        serve::load(serve::save(*sharded, sharded_spec, sharded_config));
+    const auto restored_monolithic =
+        serve::load(serve::save(*monolithic, monolithic_spec, config));
+    check(*restored_sharded, *restored_monolithic, "serve::load", 1);
+  }
+}
+
+TEST(ShardedCalibration, RejectedCalibrationBatchLeavesTheIndexUncalibrated) {
+  // The quantizer fit rejects non-finite values; a sharded index must
+  // then stay uncalibrated, exactly like its monolithic engine, so a clean
+  // batch afterwards calibrates and answers as if the bad one never came.
+  const Data data = make_data(40, 4, 3, 179);
+  Data poisoned = data;
+  poisoned.rows[7][2] = std::numeric_limits<float>::quiet_NaN();
+  EngineConfig config;
+  config.num_features = 4;
+  EngineConfig sharded_config = config;
+  sharded_config.bank_rows = 16;
+  auto sharded = make_index("sharded-mcam2", sharded_config);
+  auto monolithic = make_index("mcam2", config);
+  EXPECT_THROW(sharded->add(poisoned.rows, poisoned.labels), std::invalid_argument);
+  EXPECT_THROW(monolithic->add(poisoned.rows, poisoned.labels), std::invalid_argument);
+  EXPECT_THROW(sharded->calibrate(poisoned.rows), std::invalid_argument);
+  EXPECT_EQ(sharded->size(), 0u);
+  EXPECT_EQ(dynamic_cast<ShardedNnIndex&>(*sharded).num_banks(), 0u);
+  sharded->add(data.rows, data.labels);
+  monolithic->add(data.rows, data.labels);
+  for (const auto& q : data.queries) {
+    expect_identical(sharded->query_one(q, 5), monolithic->query_one(q, 5),
+                     "after rejected calibration batch");
+  }
+}
+
+TEST(ShardedCalibration, BanksShareEncodersButKeepTheirOwnHardwareDraw) {
+  // A factory may build every bank differently - the experiments harness
+  // seeds each bank as its own chip. The shared calibrated image carries
+  // only fitted encoder state, so MCAM banks keep their own variation and
+  // fault draw (a bank reads back exactly like a standalone engine with
+  // its seed) while their quantizers match bit for bit.
+  Data data = make_data(32, 8, 2, 173);
+  const Data once = data;
+  data.rows.insert(data.rows.end(), once.rows.begin(), once.rows.end());
+  data.labels.insert(data.labels.end(), once.labels.begin(), once.labels.end());
+  const auto mcam_config = [](std::uint64_t seed) {
+    cam::McamArrayConfig array;
+    array.level_map = fefet::LevelMap{3};
+    array.vth_sigma = 0.08;
+    array.stuck_short_rate = 0.05;
+    array.seed = seed;
+    return array;
+  };
+  ShardedConfig config;
+  config.bank_rows = 32;  // Two banks holding the same 32 rows.
+  config.workers = 1;
+  std::uint64_t instance = 0;
+  ShardedNnIndex mcam{[&] {
+                        return std::make_unique<McamNnEngine>(mcam_config(100 + ++instance));
+                      },
+                      config};
+  mcam.add(data.rows, data.labels);
+  ASSERT_EQ(mcam.num_banks(), 2u);
+  const auto& bank0 = dynamic_cast<const McamNnEngine&>(mcam.bank(0));
+  const auto& bank1 = dynamic_cast<const McamNnEngine&>(mcam.bank(1));
+  const auto same_floats = [](const std::vector<float>& a, const std::vector<float>& b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * 4) == 0;
+  };
+  EXPECT_TRUE(same_floats(bank0.quantizer().lows(), bank1.quantizer().lows()));
+  EXPECT_TRUE(same_floats(bank0.quantizer().highs(), bank1.quantizer().highs()));
+  EXPECT_NE(bank0.array().num_faulty_cells(), bank1.array().num_faulty_cells());
+  bool readbacks_differ = false;
+  for (std::size_t r = 0; r < 32; ++r) {
+    readbacks_differ = readbacks_differ ||
+                       bank0.array().row_readback(r) != bank1.array().row_readback(r);
+  }
+  EXPECT_TRUE(readbacks_differ);
+
+  // Bank 1 is exactly the chip its own seed programs.
+  McamNnEngine standalone{mcam_config(102)};
+  standalone.calibrate(data.rows);
+  standalone.add(std::span{data.rows}.first(32), std::span{data.labels}.first(32));
+  EXPECT_EQ(standalone.array().num_faulty_cells(), bank1.array().num_faulty_cells());
+  for (std::size_t r = 0; r < 32; ++r) {
+    EXPECT_EQ(standalone.array().row_readback(r), bank1.array().row_readback(r)) << r;
+  }
+
+  // tcam-lsh banks seeded differently now share the first bank's LSH
+  // planes, so two banks holding the same rows score a query identically.
+  instance = 0;
+  ShardedNnIndex tcam{[&] {
+                        return std::make_unique<TcamLshEngine>(16, 200 + ++instance);
+                      },
+                      config};
+  tcam.add(data.rows, data.labels);
+  ASSERT_EQ(tcam.num_banks(), 2u);
+  for (const auto& q : data.queries) {
+    expect_identical(tcam.bank(1).query_one(q, 32), tcam.bank(0).query_one(q, 32),
+                     "tcam banks share LSH planes");
+  }
 }
 
 }  // namespace
